@@ -73,10 +73,6 @@ def _apply_split(dataset: pp.Dataset, split_path, part: str) -> pp.Dataset:
     return dataset.subset(split[part])
 
 
-def _parse_windows(text: str) -> tuple[float, ...]:
-    return tuple(ft.parse_window(tok) for tok in text.split(","))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -219,18 +215,15 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _feature_config(args) -> ft.FeatureConfig:
-    windows = _parse_windows(args.windows) if args.windows else ft.DEFAULT_WINDOWS
-    return ft.FeatureConfig(family=args.family, windows=windows)
-
-
 def cmd_featurize(args) -> int:
     t0 = time.perf_counter()
     dataset = _load_dataset(args.dataset)
-    config = _feature_config(args)
-    layout_src = _apply_split(dataset, args.split, "train") if args.split else dataset
-    layout = ft.layout_for(layout_src, config)
-    part = _apply_split(dataset, args.split, args.part) if args.split else dataset
+    windows = (tuple(ft.parse_window(tok) for tok in args.windows.split(","))
+               if args.windows else ft.DEFAULT_WINDOWS)
+    config = ft.FeatureConfig(family=args.family, windows=windows)
+    train = _apply_split(dataset, args.split, "train")
+    layout = ft.layout_for(train, config)
+    part = train if args.part == "train" else _apply_split(dataset, args.split, args.part)
     t1 = time.perf_counter()
     matrix = ft.extract(part.learners, layout)
     t_extract = time.perf_counter() - t1
@@ -270,15 +263,13 @@ def cmd_train(args) -> int:
         print(f"train: baseline over {len(model.item_probs)} items -> {out}")
         return 0
     if args.model == "lr":
-        if (src / "rows.txt").exists():
-            layout = ft.FeatureLayout.from_json((src / "layout.json").read_text())
-            matrix = ft.read_rows(src / "rows.txt", layout, src / "meta.csv")
-        else:
-            dataset = _load_dataset(src)
-            dataset = _apply_split(dataset, args.split, "train")
-            config = _feature_config(args)
-            layout = ft.layout_for(dataset, config)
-            matrix = ft.extract(dataset.learners, layout)
+        missing = [n for n in ("rows.txt", "layout.json", "meta.csv")
+                   if not (src / n).exists()]
+        if missing:
+            raise UsageError(f"no {', '.join(missing)} in {src}: lr trains from "
+                             "the output directory of `ktrace featurize`")
+        layout = ft.FeatureLayout.from_json((src / "layout.json").read_text())
+        matrix = ft.read_rows(src / "rows.txt", layout, src / "meta.csv")
         model = lm.fit_logistic_matrix(matrix, l2=args.l2, max_iter=args.max_iter, tol=args.tol)
         (out / "model.json").write_text(model.to_json())
         (out / "layout.json").write_text(matrix.layout.to_json())
@@ -490,11 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit a model")
-    p.add_argument("input", help="dataset dir or featurize output dir")
+    p.add_argument("input", help="featurize output dir (lr) or dataset dir")
     p.add_argument("--model", required=True, choices=("baseline", "lr", "dkt", "sakt"))
     p.add_argument("--split")
-    p.add_argument("--family", default="best_lr_tw", choices=ft.FAMILIES)
-    p.add_argument("--windows")
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)

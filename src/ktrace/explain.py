@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import UsageError
-from .features import FeatureLayout, SparseFeatureRow
+from .features import FeatureLayout
 from .linear_models import LinearModel
 from .prep import Dataset
 
@@ -47,23 +47,20 @@ class LimeConfig:
 
 
 def perturb_sample(
-    row: SparseFeatureRow, layout: FeatureLayout, config: LimeConfig, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """n perturbed copies of the row's active features.
+    cols: np.ndarray, vals: np.ndarray, layout: FeatureLayout,
+    config: LimeConfig, seed: int,
+) -> np.ndarray:
+    """n perturbed copies of one row's active features.
 
-    Returns (P, cols): P has shape (n_perturbations, n_active) and cols
-    holds the active feature indices.  One-hot entries flip to 0 with
-    probability flip_prob; count entries get zero-mean Gaussian noise
-    truncated at 0.  Deterministic per seed.
+    cols/vals are the row's slice of a CSR matrix's indices/data.  The
+    result P has shape (n_perturbations, len(cols)).  One-hot entries
+    flip to 0 with probability flip_prob; count entries get zero-mean
+    Gaussian noise truncated at 0.  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    cols = np.array([idx for idx, _ in row.entries], dtype=np.int64)
-    base = np.array([val for _, val in row.entries])
-    is_binary = np.array(
-        [layout.block_of(int(i)).kind == "onehot" for i in cols], dtype=bool
-    )
+    is_binary = layout.is_onehot(cols)
     n = config.n_perturbations
-    P = np.tile(base, (n, 1))
+    P = np.tile(np.asarray(vals, dtype=np.float64), (n, 1))
     if is_binary.any():
         flips = rng.random((n, int(is_binary.sum()))) < config.flip_prob
         block = P[:, is_binary]
@@ -72,7 +69,7 @@ def perturb_sample(
     if (~is_binary).any():
         noise = rng.normal(0.0, config.noise_scale, (n, int((~is_binary).sum())))
         P[:, ~is_binary] = np.maximum(P[:, ~is_binary] + noise, 0.0)
-    return P, cols
+    return P
 
 
 def _pearson_columns(P: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -89,17 +86,17 @@ def _pearson_columns(P: np.ndarray, preds: np.ndarray) -> np.ndarray:
 
 
 def lime_correlations(
-    model: LinearModel, row: SparseFeatureRow, layout: FeatureLayout,
-    config: LimeConfig, seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(active feature indices, per-feature correlation with model output)."""
-    P, cols = perturb_sample(row, layout, config, seed)
+    model: LinearModel, cols: np.ndarray, vals: np.ndarray,
+    layout: FeatureLayout, config: LimeConfig, seed: int,
+) -> np.ndarray:
+    """Correlation of each active feature (cols) with the model output."""
+    P = perturb_sample(cols, vals, layout, config, seed)
     scores = model.bias + P @ model.weights[cols]
     preds = expit(scores)
     if len(np.unique(preds)) < 2:
         warnings.warn("fewer than 2 distinct perturbed predictions; zero vector")
-        return cols, np.zeros(len(cols))
-    return cols, _pearson_columns(P, preds)
+        return np.zeros(len(cols))
+    return _pearson_columns(P, preds)
 
 
 @dataclass
@@ -229,16 +226,14 @@ def explain_model(
     n = min(config.n_test_learners_sampled, test.n_learners)
     subset = sample_learners(test, n, config.seed)
     matrix = ft.extract(subset.learners, layout)
-    rows = matrix.rows()
+    X = matrix.X
     per_sample = []
-    predictions = []
-    labels = []
-    for i, row in enumerate(rows):
-        cols, corrs = lime_correlations(model, row, layout, config, seed=config.seed + i + 1)
+    for i in range(matrix.n_rows):
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        cols, vals = X.indices[lo:hi], X.data[lo:hi]
+        corrs = lime_correlations(model, cols, vals, layout, config, seed=config.seed + i + 1)
         per_sample.append((cols, corrs))
-        predictions.append(model.predict_row(row))
-        labels.append(row.label)
-    return aggregate_importances(per_sample, predictions, labels, layout)
+    return aggregate_importances(per_sample, model.predict_matrix(X), matrix.y, layout)
 
 
 @dataclass

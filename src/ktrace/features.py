@@ -4,19 +4,18 @@ Every feature of a row is computed from strictly earlier interactions of
 the same learner.  Counts are rescaled with ln(1+x).  Window membership
 is strict: an event at age exactly w is outside window w.
 
-Two extraction paths exist: a vectorized batch path (`extract`) used by
-the pipeline, and an incremental per-learner `CounterState` for streaming
-use.  Both scale counts with the same evaluator, `math.log1p` (the batch
-path through a lookup table), so their rows are bit-identical, not merely
-close: numpy's vectorized log1p can differ from it by an ulp, depending
-on the numpy build.
+Rows exist in one form, the CSR `FeatureMatrix` built by the vectorized
+`extract`: row i of `X` is `X.indices`/`X.data` between `X.indptr[i]`
+and `X.indptr[i + 1]`, sorted by index with zero values omitted.  Counts
+are scaled with `math.log1p` read from a lookup table (`_scale_counts`),
+the evaluator of `scale_count`, so rows are bit-identical on any numpy
+build: numpy's vectorized log1p can differ from it by an ulp.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -49,18 +48,31 @@ _WINDOW_NAMES = {
 
 
 def window_name(w: float) -> str:
-    name = _WINDOW_NAMES.get(float(w))
-    return name if name is not None else f"{int(w)}ms"
+    """Name of window w (ms) in block names; `parse_window` reads it back
+    exactly."""
+    w = float(w)
+    name = _WINDOW_NAMES.get(w)
+    if name is not None:
+        return name
+    return f"{int(w)}ms" if w.is_integer() else f"{w!r}ms"
 
 
 def parse_window(token: str) -> float:
-    token = token.strip().lower()
-    if token in ("inf", "infinity"):
+    """Window in ms from `inf` or a number with an optional unit: `ms`,
+    `m`, `h`, `d` or `w` (no unit means ms)."""
+    text = token.strip().lower()
+    if text in ("inf", "infinity"):
         return math.inf
-    units = {"h": MS_HOUR, "d": MS_DAY, "m": MS_MINUTE, "w": 7 * MS_DAY}
-    if token and token[-1] in units:
-        return float(token[:-1]) * units[token[-1]]
-    return float(token)
+    units = {"ms": 1, "m": MS_MINUTE, "h": MS_HOUR, "d": MS_DAY, "w": 7 * MS_DAY}
+    number, scale = text, 1
+    for unit, ms in units.items():  # "ms" before "m"
+        if text.endswith(unit):
+            number, scale = text[: -len(unit)], ms
+            break
+    try:
+        return float(number) * scale
+    except ValueError:
+        raise UsageError(f"cannot parse window {token!r}") from None
 
 
 def scale_count(x: float) -> float:
@@ -89,6 +101,8 @@ class FeatureConfig:
             raise UsageError(f"unknown feature family {self.family!r}")
         if self.scale != "log1p":
             raise UsageError(f"unknown scale {self.scale!r}")
+        if not all(w > 0 for w in self.windows):
+            raise UsageError("windows must be positive")
         if self.family in ("das3h", "best_lr_tw"):
             ws = self.windows
             if not ws or ws[-1] != math.inf:
@@ -148,6 +162,8 @@ class FeatureLayout:
         self.blocks: list[Block] = self._build_blocks()
         self._by_name = {b.name: b for b in self.blocks}
         self.width = self.blocks[-1].offset + self.blocks[-1].width
+        self._offsets = np.array([b.offset for b in self.blocks])
+        self._onehot = np.array([b.kind == "onehot" for b in self.blocks])
 
     def _build_blocks(self) -> list[Block]:
         fam = self.config.family
@@ -185,11 +201,19 @@ class FeatureLayout:
     def block(self, name: str) -> Block:
         return self._by_name[name]
 
+    def _block_ids(self, cols) -> np.ndarray:
+        """Position in `blocks` of each feature index in cols."""
+        cols = np.asarray(cols)
+        if cols.size and (cols.min() < 0 or cols.max() >= self.width):
+            raise UsageError(f"feature index out of range [0, {self.width})")
+        return np.searchsorted(self._offsets, cols, side="right") - 1
+
     def block_of(self, feature_index: int) -> Block:
-        for b in self.blocks:
-            if b.offset <= feature_index < b.offset + b.width:
-                return b
-        raise UsageError(f"feature index {feature_index} out of range")
+        return self.blocks[int(self._block_ids(feature_index))]
+
+    def is_onehot(self, cols) -> np.ndarray:
+        """Boolean mask: which feature indices in cols are one-hot."""
+        return self._onehot[self._block_ids(cols)]
 
     def to_json(self) -> str:
         payload = {
@@ -215,16 +239,6 @@ class FeatureLayout:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SparseFeatureRow:
-    """Label plus sorted (index, value) entries; zero values are omitted."""
-
-    label: bool
-    entries: tuple[tuple[int, float], ...]
-    learner_id: str
-    timestamp_ms: int
-
-
 @dataclass
 class FeatureMatrix:
     X: sp.csr_matrix
@@ -236,24 +250,6 @@ class FeatureMatrix:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    def rows(self) -> list[SparseFeatureRow]:
-        out = []
-        indptr, indices, data = self.X.indptr, self.X.indices, self.X.data
-        for i in range(self.n_rows):
-            entries = tuple(
-                (int(indices[j]), float(data[j]))
-                for j in range(indptr[i], indptr[i + 1])
-            )
-            out.append(
-                SparseFeatureRow(
-                    label=bool(self.y[i]),
-                    entries=entries,
-                    learner_id=self.learner_ids[i],
-                    timestamp_ms=int(self.timestamps[i]),
-                )
-            )
-        return out
 
 
 def _segment_starts(change: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,97 +418,6 @@ def extract(
         timestamps=ts,
         layout=layout,
     )
-
-
-class CounterState:
-    """Incremental per-learner counters backing streaming extraction.
-
-    All counts reflect strictly earlier interactions only: call
-    `features_for` before `update` for each interaction.
-    """
-
-    def __init__(self, layout: FeatureLayout):
-        self.layout = layout
-        self.total_attempts = 0
-        self.total_wins = 0
-        self.item_counts: dict[int, list[int]] = {}
-        self.skill_ts: dict[int, list[int]] = {}
-        self.skill_cumwins: dict[int, list[int]] = {}
-
-    def features_for(self, it: LabeledInteraction) -> tuple[tuple[int, float], ...]:
-        layout = self.layout
-        windows = layout.config.effective_windows()
-        entries: list[tuple[int, float]] = []
-
-        def put(col: int, val: float):
-            if val != 0.0:
-                entries.append((col, val))
-
-        if layout.has_block("item") or layout.has_block("item_attempts"):
-            item = layout.item_index(it.question_id)
-        if layout.has_block("item"):
-            put(layout.block("item").offset + item, 1.0)
-        if layout.has_block("skill"):
-            mapped = sorted({layout.skill_index(s) for s in it.kc_tags})
-            sk_off = layout.block("skill").offset
-            for s in mapped:
-                put(sk_off + s, 1.0)
-            for w in windows:
-                a_off = layout.block(f"skill_attempts@{window_name(w)}").offset
-                w_off = layout.block(f"skill_wins@{window_name(w)}").offset
-                for s in mapped:
-                    ts_list = self.skill_ts.get(s, [])
-                    cum = self.skill_cumwins.get(s, [0])
-                    n = len(ts_list)
-                    if math.isinf(w):
-                        idx = 0
-                    else:
-                        idx = bisect_right(ts_list, it.timestamp_ms - w)
-                    put(a_off + s, scale_count(n - idx))
-                    put(w_off + s, scale_count(cum[n] - cum[idx]))
-        if layout.has_block("item_attempts"):
-            ia, iw = self.item_counts.get(item, (0, 0))
-            put(layout.block("item_attempts").offset, scale_count(ia))
-            put(layout.block("total_attempts").offset, scale_count(self.total_attempts))
-            put(layout.block("item_wins").offset, scale_count(iw))
-            put(layout.block("total_wins").offset, scale_count(self.total_wins))
-        entries.sort()
-        return tuple(entries)
-
-    def update(self, it: LabeledInteraction) -> None:
-        layout = self.layout
-        correct = int(it.correct)
-        self.total_attempts += 1
-        self.total_wins += correct
-        item = layout.item_index(it.question_id)
-        counts = self.item_counts.setdefault(item, [0, 0])
-        counts[0] += 1
-        counts[1] += correct
-        for s in {layout.skill_index(t) for t in it.kc_tags}:
-            self.skill_ts.setdefault(s, []).append(it.timestamp_ms)
-            cum = self.skill_cumwins.setdefault(s, [0])
-            cum.append(cum[-1] + correct)
-
-
-def extract_streaming(
-    learners: Mapping[str, list[LabeledInteraction]], layout: FeatureLayout
-) -> list[SparseFeatureRow]:
-    """Incremental extraction; row-identical to the batch path."""
-    out: list[SparseFeatureRow] = []
-    for lid in sorted(learners):
-        state = CounterState(layout)
-        for it in learners[lid]:
-            entries = state.features_for(it)
-            out.append(
-                SparseFeatureRow(
-                    label=it.correct,
-                    entries=entries,
-                    learner_id=lid,
-                    timestamp_ms=it.timestamp_ms,
-                )
-            )
-            state.update(it)
-    return out
 
 
 # ---------------------------------------------------------------------------

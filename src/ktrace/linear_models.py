@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError, NumericError
-from .features import FeatureConfig, FeatureMatrix, SparseFeatureRow
+from .features import FeatureConfig, FeatureMatrix
 from .ingest import LabeledInteraction
 
 
@@ -79,19 +79,14 @@ class LinearModel:
     config: FeatureConfig | None = None
     report: ConvergenceReport | None = None
 
-    def decision(self, X: sp.csr_matrix) -> np.ndarray:
-        return X @ self.weights + self.bias
-
     def predict_matrix(self, X: sp.csr_matrix) -> np.ndarray:
-        return expit(self.decision(X))
-
-    def predict_row(self, row: SparseFeatureRow) -> float:
-        score = self.bias
-        for idx, val in row.entries:
-            if idx >= self.weights.shape[0]:
-                raise DataError(f"feature index {idx} out of model range")
-            score += self.weights[idx] * val
-        return float(expit(score))
+        """Sigmoid of bias plus X @ weights, one probability per row."""
+        if X.shape[1] != self.weights.shape[0]:
+            raise DataError(
+                f"feature width {X.shape[1]} does not match the model's "
+                f"{self.weights.shape[0]} weights"
+            )
+        return expit(X @ self.weights + self.bias)
 
     def to_json(self) -> str:
         nz = np.flatnonzero(self.weights)
@@ -128,11 +123,6 @@ class LinearModel:
                 converged=payload["report"]["converged"],
             )
         return cls(weights=w, bias=payload["bias"], config=config, report=report)
-
-
-def predict_proba(model: LinearModel, row: SparseFeatureRow) -> float:
-    """Sigmoid of bias plus the sparse dot product; strictly inside (0,1)."""
-    return model.predict_row(row)
 
 
 def loss_and_grad(wb: np.ndarray, X: sp.csr_matrix, y: np.ndarray, l2: float):
@@ -174,8 +164,9 @@ def fit_logistic(
             raise NumericError(f"non-finite loss at evaluation {len(trace)}")
         return loss, grad
 
-    def callback(wb):
-        trace.append(loss_and_grad(wb, X, y, l2)[0])
+    def callback(intermediate_result):
+        # scipy passes the iterate's loss, so the trace costs no evaluation
+        trace.append(intermediate_result.fun)
 
     wb0 = np.zeros(X.shape[1] + 1)
     result = scipy.optimize.minimize(

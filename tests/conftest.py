@@ -37,6 +37,14 @@ def make_interaction(
     )
 
 
+def row_entries(matrix, i):
+    """Row i of a FeatureMatrix as sorted (index, value) pairs, read from
+    the CSR arrays."""
+    X = matrix.X
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return tuple(zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()))
+
+
 def brute_force_features(inter, i, layout: FeatureLayout):
     """Dense-semantics feature dict for interaction i, recounted from the
     full prefix with nested loops.  Zero values are omitted."""

@@ -18,6 +18,7 @@ from conftest import (
     brute_force_features,
     pairwise_auc,
     random_learner_histories,
+    row_entries,
 )
 from ktrace import cli
 from ktrace import evaluation as ev
@@ -35,10 +36,10 @@ def small_layout(family):
     )
 
 
-def row_bytes(row):
+def row_bytes(matrix, k):
     return (
-        " ".join(f"{i}:{v:.17g}" for i, v in row.entries).encode()
-        + f" #{int(row.label)}".encode()
+        " ".join(f"{i}:{v:.17g}" for i, v in row_entries(matrix, k)).encode()
+        + f" #{int(matrix.y[k])}".encode()
     )
 
 
@@ -54,12 +55,12 @@ def test_criterion_01_feature_count_oracle():
         learners = random_learner_histories(
             rng, int(rng.integers(2, 51)), 200
         )
-        rows = ft.extract(learners, layout).rows()
+        matrix = ft.extract(learners, layout)
         i = 0
         for lid in sorted(learners):
             inter = learners[lid]
             for k in range(len(inter)):
-                assert dict(rows[i].entries) == brute_force_features(
+                assert dict(row_entries(matrix, i)) == brute_force_features(
                     inter, k, layout
                 ), (d, lid, k)
                 i += 1
@@ -81,10 +82,10 @@ def test_criterion_02_causality_suite():
             if len(inter) < 3 or checked >= 100:
                 continue
             k = int(rng.integers(1, len(inter) - 1))
-            base = row_bytes(ft.extract({lid: inter}, layout).rows()[k])
+            base = row_bytes(ft.extract({lid: inter}, layout), k)
             # delete the future
-            cut = ft.extract({lid: inter[: k + 1]}, layout).rows()[k]
-            assert row_bytes(cut) == base
+            cut = ft.extract({lid: inter[: k + 1]}, layout)
+            assert row_bytes(cut, k) == base
             # permute the future (timestamps stay sorted, payloads shuffle)
             tail = inter[k + 1 :]
             perm = [tail[j] for j in rng.permutation(len(tail))]
@@ -101,8 +102,8 @@ def test_criterion_02_causality_suite():
                 )
                 for orig, t in zip(tail, perm)
             ]
-            mutated = ft.extract({lid: inter[: k + 1] + shuffled}, layout).rows()[k]
-            assert row_bytes(mutated) == base
+            mutated = ft.extract({lid: inter[: k + 1] + shuffled}, layout)
+            assert row_bytes(mutated, k) == base
             checked += 1
 
 
@@ -276,12 +277,13 @@ def test_criterion_08_lime_known_model_oracle():
             onehot = layout.block_of(c).kind == "onehot"
             entries.append((c, 1.0 if onehot else float(rng.uniform(0.5, 2.0))))
             weights[c] = rng.normal(0.0, 1.0)
-        row = ft.SparseFeatureRow(True, tuple(entries), "s0", 0)
+        got_cols = np.array([c for c, _ in entries])
+        vals = np.array([v for _, v in entries])
         model = lm.LinearModel(weights=weights, bias=float(rng.normal()))
         seed = int(rng.integers(0, 2**31))
-        got_cols, corrs = ex.lime_correlations(model, row, layout, config, seed)
+        corrs = ex.lime_correlations(model, got_cols, vals, layout, config, seed)
         assert np.all(corrs >= -1.0) and np.all(corrs <= 1.0)
-        _, rerun = ex.lime_correlations(model, row, layout, config, seed)
+        rerun = ex.lime_correlations(model, got_cols, vals, layout, config, seed)
         assert corrs.tobytes() == rerun.tobytes()
         for c, r in zip(got_cols, corrs):
             if abs(weights[c]) >= 0.5:

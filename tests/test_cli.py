@@ -80,6 +80,47 @@ class TestPipelineSmoke:
         assert train_layout == test_layout
 
 
+class TestFeatureDirectoryFlow:
+    def test_custom_windows_featurize_train_eval(self, pipeline, tmp_path):
+        d = pipeline
+        split = d["split"] / "split.json"
+        feat, model = tmp_path / "feat", tmp_path / "lr"
+        assert run("featurize", d["ds"], "--family", "das3h", "--windows", "90m,inf",
+                   "--split", split, "--out", feat) == 0
+        layout = json.loads((feat / "layout.json").read_text())
+        assert layout["config"]["windows"] == ["5400000ms", "inf"]
+        assert run("train", feat, "--model", "lr", "--out", model) == 0
+        assert run("eval", model, d["ds"], "--split", split,
+                   "--out", tmp_path / "report.json") == 0
+
+    def test_unparsable_window_is_2(self, pipeline, tmp_path, capsys):
+        assert run("featurize", pipeline["ds"], "--family", "das3h",
+                   "--windows", "1h,abc,inf", "--out", tmp_path / "feat") == 2
+        assert "abc" in capsys.readouterr().err
+
+    def test_lr_without_feature_directory_is_2(self, pipeline, tmp_path, capsys):
+        assert run("train", pipeline["ds"], "--model", "lr",
+                   "--out", tmp_path / "lr") == 2
+        assert "ktrace featurize" in capsys.readouterr().err
+        rows_only = tmp_path / "rows_only"
+        rows_only.mkdir()
+        (rows_only / "rows.txt").write_bytes((pipeline["feat"] / "rows.txt").read_bytes())
+        assert run("train", rows_only, "--model", "lr", "--out", tmp_path / "lr") == 2
+        assert "layout.json" in capsys.readouterr().err
+
+    def test_eval_with_mismatched_layout_is_3(self, pipeline, tmp_path, capsys):
+        d = pipeline
+        irt = tmp_path / "irt"
+        assert run("featurize", d["ds"], "--family", "irt", "--out", irt) == 0
+        model = tmp_path / "lr"
+        model.mkdir()
+        (model / "model.json").write_bytes((d["lr"] / "model.json").read_bytes())
+        (model / "layout.json").write_bytes((irt / "layout.json").read_bytes())
+        assert run("eval", model, d["ds"], "--split", d["split"] / "split.json",
+                   "--out", tmp_path / "report.json") == 3
+        assert "does not match" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert run("featurize", "/nonexistent", "--family", "nope",

@@ -21,40 +21,35 @@ def best_lr_layout():
 class TestPerturbSample:
     def test_zero_flip_zero_noise_is_identity(self):
         layout = pfa_layout()
-        row = ft.SparseFeatureRow(True, ((layout.block("skill").offset, 1.0),
-                                         (layout.block("skill_attempts@inf").offset, 1.5)),
-                                  "s0", 0)
+        cols = np.array([layout.block("skill").offset,
+                         layout.block("skill_attempts@inf").offset])
         config = ex.LimeConfig(n_perturbations=10, flip_prob=0.0, noise_scale=0.0)
-        P, cols = ex.perturb_sample(row, layout, config, seed=1)
+        P = ex.perturb_sample(cols, np.array([1.0, 1.5]), layout, config, seed=1)
         assert P.shape == (10, 2)
         assert np.allclose(P, [[1.0, 1.5]] * 10)
-        assert list(cols) == [c for c, _ in row.entries]
 
     def test_flip_prob_one_inverts_every_onehot(self):
         layout = pfa_layout()
-        row = ft.SparseFeatureRow(True, ((layout.block("skill").offset, 1.0),),
-                                  "s0", 0)
+        cols = np.array([layout.block("skill").offset])
         config = ex.LimeConfig(n_perturbations=20, flip_prob=1.0)
-        P, _ = ex.perturb_sample(row, layout, config, seed=2)
+        P = ex.perturb_sample(cols, np.array([1.0]), layout, config, seed=2)
         assert np.allclose(P, 0.0)
 
     def test_count_noise_mean_and_truncation(self):
         layout = pfa_layout()
         col = layout.block("skill_attempts@inf").offset
-        row = ft.SparseFeatureRow(True, ((col, 2.0),), "s0", 0)
         config = ex.LimeConfig(n_perturbations=20_000, flip_prob=0.0, noise_scale=0.5)
-        P, _ = ex.perturb_sample(row, layout, config, seed=3)
+        P = ex.perturb_sample(np.array([col]), np.array([2.0]), layout, config, seed=3)
         assert P.min() >= 0.0
         assert P.mean() == pytest.approx(2.0, abs=0.02)
 
     def test_deterministic_per_seed(self):
         layout = pfa_layout()
-        row = ft.SparseFeatureRow(True, ((layout.block("skill").offset, 1.0),
-                                         (layout.block("skill_wins@inf").offset, 0.7)),
-                                  "s0", 0)
+        cols = np.array([layout.block("skill").offset, layout.block("skill_wins@inf").offset])
+        vals = np.array([1.0, 0.7])
         config = ex.LimeConfig(n_perturbations=50)
-        a, _ = ex.perturb_sample(row, layout, config, seed=9)
-        b, _ = ex.perturb_sample(row, layout, config, seed=9)
+        a = ex.perturb_sample(cols, vals, layout, config, seed=9)
+        b = ex.perturb_sample(cols, vals, layout, config, seed=9)
         assert np.array_equal(a, b)
 
     def test_too_few_perturbations_rejected(self):
@@ -90,9 +85,9 @@ class TestLimeCorrelations:
         w[att] = -2.0
         w[win] = 2.0
         model = lm.LinearModel(weights=w, bias=0.0)
-        row = ft.SparseFeatureRow(True, ((att, 1.0), (win, 1.0)), "s0", 0)
+        cols = np.array([att, win])
         config = ex.LimeConfig(n_perturbations=400, flip_prob=0.0, noise_scale=0.5)
-        cols, corrs = ex.lime_correlations(model, row, layout, config, seed=4)
+        corrs = ex.lime_correlations(model, cols, np.ones(2), layout, config, seed=4)
         by_col = dict(zip(cols, corrs))
         assert by_col[att] < -0.5
         assert by_col[win] > 0.5
@@ -102,19 +97,19 @@ class TestLimeCorrelations:
         att = layout.block("skill_attempts@inf").offset
         w = np.zeros(layout.width)
         w[att] = 1.5
-        row = ft.SparseFeatureRow(True, ((att, 1.0),), "s0", 0)
+        cols, vals = np.array([att]), np.ones(1)
         config = ex.LimeConfig(n_perturbations=300, flip_prob=0.0)
-        _, c_pos = ex.lime_correlations(lm.LinearModel(w, 0.0), row, layout, config, seed=5)
-        _, c_neg = ex.lime_correlations(lm.LinearModel(-w, 0.0), row, layout, config, seed=5)
+        c_pos = ex.lime_correlations(lm.LinearModel(w, 0.0), cols, vals, layout, config, seed=5)
+        c_neg = ex.lime_correlations(lm.LinearModel(-w, 0.0), cols, vals, layout, config, seed=5)
         assert c_pos[0] == pytest.approx(-c_neg[0], abs=1e-6)
 
     def test_constant_predictions_yield_zero_vector_with_warning(self):
         layout = pfa_layout()
         model = lm.LinearModel(weights=np.zeros(layout.width), bias=0.3)
-        row = ft.SparseFeatureRow(True, ((layout.block("skill").offset, 1.0),), "s0", 0)
+        cols = np.array([layout.block("skill").offset])
         config = ex.LimeConfig(n_perturbations=50)
         with pytest.warns(UserWarning):
-            _, corrs = ex.lime_correlations(model, row, layout, config, seed=6)
+            corrs = ex.lime_correlations(model, cols, np.ones(1), layout, config, seed=6)
         assert np.array_equal(corrs, np.zeros(1))
 
 

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_features, make_interaction, random_learner_histories
+from conftest import (
+    brute_force_features,
+    make_interaction,
+    random_learner_histories,
+    row_entries,
+)
 from ktrace.errors import UsageError
 from ktrace import features as ft
 
@@ -22,11 +27,12 @@ def layout_for(family, items=("q0", "q1", "q2"), skills=(1, 2, 3, 7), windows=No
 
 
 def rows_for(learners, layout):
-    return ft.extract(learners, layout).rows()
+    matrix = ft.extract(learners, layout)
+    return [row_entries(matrix, i) for i in range(matrix.n_rows)]
 
 
 def entry_dict(row):
-    return dict(row.entries)
+    return dict(row)
 
 
 class TestScaleCount:
@@ -59,7 +65,7 @@ class TestIrtEncoding:
     def test_one_hot_single_entry(self):
         layout = layout_for("irt")
         rows = rows_for({"a": [make_interaction(question_id="q2")]}, layout)
-        assert rows[0].entries == ((2, 1.0),)
+        assert rows[0] == ((2, 1.0),)
 
     def test_stateless_repeated_item(self):
         layout = layout_for("irt")
@@ -67,14 +73,14 @@ class TestIrtEncoding:
             make_interaction(timestamp_ms=0, question_id="q1", correct=True),
             make_interaction(timestamp_ms=10, question_id="q1", correct=False),
         ]
-        rows = rows_for({"a": inter}, layout)
-        assert rows[0].entries == rows[1].entries
-        assert rows[0].label != rows[1].label
+        matrix = ft.extract({"a": inter}, layout)
+        assert row_entries(matrix, 0) == row_entries(matrix, 1)
+        assert matrix.y[0] != matrix.y[1]
 
     def test_unseen_item_maps_to_reserved_index(self):
         layout = layout_for("irt")
         rows = rows_for({"a": [make_interaction(question_id="q999")]}, layout)
-        assert rows[0].entries == ((3, 1.0),)  # reserved = len(item_vocab)
+        assert rows[0] == ((3, 1.0),)  # reserved = len(item_vocab)
 
 
 class TestPfaEncoding:
@@ -232,8 +238,7 @@ class TestBestLrTw:
         blr = layout_for("best_lr", items=[f"q{i}" for i in range(30)],
                          skills=list(range(8)))
         assert tw.width == blr.width
-        for rt, rb in zip(rows_for(learners, tw), rows_for(learners, blr)):
-            assert rt.entries == rb.entries
+        assert rows_for(learners, tw) == rows_for(learners, blr)
 
 
 class TestOracleAndInvariants:
@@ -242,8 +247,7 @@ class TestOracleAndInvariants:
         learners = random_learner_histories(rng, 8, 120)
         layout = layout_for(family, items=[f"q{i}" for i in range(30)],
                             skills=list(range(8)))
-        matrix = ft.extract(learners, layout)
-        rows = matrix.rows()
+        rows = rows_for(learners, layout)
         i = 0
         for lid in sorted(learners):
             inter = learners[lid]
@@ -258,24 +262,23 @@ class TestOracleAndInvariants:
         learners = random_learner_histories(rng, 4, 60)
         for lid, inter in learners.items():
             k = len(inter) // 2
-            base = ft.extract({lid: inter}, layout).rows()[k]
+            base = rows_for({lid: inter}, layout)[k]
             # delete everything after k
-            truncated = ft.extract({lid: inter[: k + 1]}, layout).rows()[k]
-            assert base.entries == truncated.entries
+            assert rows_for({lid: inter[: k + 1]}, layout)[k] == base
             # replace the future with unrelated interactions
             mutated = inter[: k + 1] + [
                 make_interaction(learner_id=lid, timestamp_ms=inter[-1].timestamp_ms + i,
                                  question_id="q0", kc_tags=(1, 2))
                 for i in range(1, 4)
             ]
-            assert ft.extract({lid: mutated}, layout).rows()[k].entries == base.entries
+            assert rows_for({lid: mutated}, layout)[k] == base
 
     def test_window_nesting(self, rng):
         layout = layout_for("das3h", items=[f"q{i}" for i in range(30)],
                             skills=list(range(8)))
         learners = random_learner_histories(rng, 6, 100)
         ws = layout.config.effective_windows()
-        for row in ft.extract(learners, layout).rows():
+        for row in rows_for(learners, layout):
             d = entry_dict(row)
             for s in range(layout.n_skills):
                 counts = [
@@ -284,21 +287,42 @@ class TestOracleAndInvariants:
                 ]
                 assert counts == sorted(counts)
 
-    def test_streaming_equals_batch(self, rng):
-        for family in ft.FAMILIES:
-            layout = layout_for(family, items=[f"q{i}" for i in range(30)],
-                                skills=list(range(8)))
-            learners = random_learner_histories(rng, 6, 90)
-            batch = ft.extract(learners, layout).rows()
-            stream = ft.extract_streaming(learners, layout)
-            assert [r.entries for r in batch] == [r.entries for r in stream]
-            assert [r.label for r in batch] == [r.label for r in stream]
-
     def test_deterministic_layout_and_rows(self, rng):
         learners = random_learner_histories(rng, 5, 70)
-        a = ft.extract(learners, layout_for("best_lr_tw")).rows()
-        b = ft.extract(learners, layout_for("best_lr_tw")).rows()
-        assert a == b
+        a = ft.extract(learners, layout_for("best_lr_tw"))
+        b = ft.extract(learners, layout_for("best_lr_tw"))
+        assert a.layout.to_json() == b.layout.to_json()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(a.X, name).tobytes() == getattr(b.X, name).tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+        assert a.learner_ids == b.learner_ids
+        assert a.timestamps.tobytes() == b.timestamps.tobytes()
+
+
+class TestWindowNames:
+    @pytest.mark.parametrize("w", [HOUR, DAY, 7 * DAY, 30 * DAY, INF, 90 * ft.MS_MINUTE,
+                                   1.0, 0.5, 1e-3, 1.5 * HOUR, 123456789.123, 2.0**60,
+                                   1e300])
+    def test_parse_reads_name_back_exactly(self, w):
+        assert ft.parse_window(ft.window_name(w)) == w
+
+    def test_random_windows_read_back_exactly(self, rng):
+        for w in 10.0 ** rng.uniform(-6, 15, 2000):
+            assert ft.parse_window(ft.window_name(w)) == w
+
+    def test_default_names(self):
+        names = [ft.window_name(w) for w in ft.DEFAULT_WINDOWS]
+        assert names == ["1h", "1d", "7d", "30d", "inf"]
+        assert ft.window_name(90 * ft.MS_MINUTE) == "5400000ms"
+
+    def test_custom_config_json_round_trip(self):
+        config = ft.FeatureConfig("das3h", windows=(90 * ft.MS_MINUTE, 1.5 * DAY, INF))
+        assert ft.FeatureConfig.from_jsonable(config.to_jsonable()) == config
+
+    @pytest.mark.parametrize("token", ["abc", "", "1x", "h", "ms"])
+    def test_unparsable_token_is_usage_error(self, token):
+        with pytest.raises(UsageError):
+            ft.parse_window(token)
 
 
 class TestRowFile:
@@ -323,3 +347,6 @@ class TestRowFile:
             ft.FeatureConfig("das3h", windows=(HOUR, DAY))
         with pytest.raises(UsageError):
             ft.FeatureConfig("nope")
+        for w in (0.0, -HOUR, math.nan):
+            with pytest.raises(UsageError):
+                ft.FeatureConfig("das3h", windows=(w, INF))

@@ -52,26 +52,24 @@ class TestBaseline:
 class TestPredict:
     def test_sigmoid_zero_is_half(self):
         model = lm.LinearModel(weights=np.zeros(3), bias=0.0)
-        row = ft.SparseFeatureRow(True, ((0, 1.0),), "s0", 0)
-        assert lm.predict_proba(model, row) == 0.5
+        assert model.predict_matrix(csr([{0: 1.0}], 3))[0] == 0.5
 
     def test_sigmoid_ln3_is_three_quarters(self):
         model = lm.LinearModel(weights=np.array([math.log(3.0)]), bias=0.0)
-        row = ft.SparseFeatureRow(True, ((0, 1.0),), "s0", 0)
-        assert lm.predict_proba(model, row) == pytest.approx(0.75)
+        assert model.predict_matrix(csr([{0: 1.0}], 1))[0] == pytest.approx(0.75)
 
     def test_sign_negation_symmetry(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=5)
-        row = ft.SparseFeatureRow(True, ((1, 0.5), (3, 2.0)), "s0", 0)
-        p = lm.predict_proba(lm.LinearModel(w, 0.7), row)
-        q = lm.predict_proba(lm.LinearModel(-w, -0.7), row)
+        X = csr([{1: 0.5, 3: 2.0}], 5)
+        p = lm.LinearModel(w, 0.7).predict_matrix(X)[0]
+        q = lm.LinearModel(-w, -0.7).predict_matrix(X)[0]
         assert p + q == pytest.approx(1.0)
 
     def test_out_of_range_index_errors(self):
         model = lm.LinearModel(weights=np.zeros(2), bias=0.0)
         with pytest.raises(DataError):
-            model.predict_row(ft.SparseFeatureRow(True, ((5, 1.0),), "s0", 0))
+            model.predict_matrix(csr([{5: 1.0}], 6))
 
 
 class TestLossAndGrad:
@@ -134,6 +132,30 @@ class TestFitLogistic:
         assert len(trace) >= 2
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_one_loss_evaluation_per_step(self, rng, monkeypatch):
+        # the loss trace comes from the optimizer's own evaluations: fewer
+        # than two loss_and_grad calls per iteration, and trace[i] is the
+        # loss at iterate i
+        n, d = 200, 10
+        X = sp.csr_matrix((rng.random((n, d)) < 0.3) * 1.0)
+        y = (rng.random(n) < 0.5).astype(float)
+        real = lm.loss_and_grad
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(lm, "loss_and_grad", counting)
+        model = lm.fit_logistic(X, y, l2=0.1, max_iter=200)
+        n_iter = model.report.n_iter
+        assert n_iter >= 5
+        assert calls < 2 * n_iter
+        assert len(model.report.loss_trace) == n_iter
+        wb = np.r_[model.weights, model.bias]
+        assert model.report.loss_trace[-1] == real(wb, X, y, 0.1)[0]
+
     def test_single_class_without_l2_errors(self):
         with pytest.raises(DataError):
             lm.fit_logistic(csr([{0: 1.0}], 1), np.array([1.0]), l2=0.0)
@@ -165,8 +187,9 @@ class TestItemOnlyEquivalence:
         model = lm.fit_logistic_matrix(matrix, l2=0.0, max_iter=1000, tol=1e-10)
         baseline = lm.fit_baseline(learners)
         probs = model.predict_matrix(matrix.X)
-        for row, p in zip(matrix.rows(), probs):
-            (col, _), = row.entries
+        X = matrix.X
+        for i, p in enumerate(probs):
+            (col,) = X.indices[X.indptr[i]:X.indptr[i + 1]]
             qid = layout.item_vocab[col - layout.block("item").offset]
             freq = baseline.item_probs[qid]
             if freq in (0.0, 1.0):
